@@ -115,9 +115,6 @@ pub const END_TO_END: &[(&str, &str)] = &[
     ("update_p50_ms", "ms"),
     ("index_mb", "MB"),
     ("serve_low_p50_us", "us"),
-    ("serve_low_p90_us", "us"),
-    ("serve_high_p50_us", "us"),
-    ("serve_high_p90_us", "us"),
     ("serve_sat_qps", "1/s"),
 ];
 
@@ -168,6 +165,9 @@ pub const PER_LAYER: &[(&str, &str)] = &[
     ("server.approx_frac", "ratio"),
     ("server.stale_replies", "count"),
     ("server.gen_late_max_us", "us"),
+    ("server.low_p90_us", "us"),
+    ("server.high_p50_us", "us"),
+    ("server.high_p90_us", "us"),
     ("server.p99_us", "us"),
     ("trace.overhead_pct", "%"),
     ("trace.spans", "count"),

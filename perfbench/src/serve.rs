@@ -335,9 +335,9 @@ impl Served {
 
     pub fn finish(&self, m: &mut BTreeMap<&'static str, f64>) {
         m.insert("serve_low_p50_us", median(&self.low_p50));
-        m.insert("serve_low_p90_us", median(&self.low_p90));
-        m.insert("serve_high_p50_us", median(&self.high_p50));
-        m.insert("serve_high_p90_us", median(&self.high_p90));
+        m.insert("server.low_p90_us", median(&self.low_p90));
+        m.insert("server.high_p50_us", median(&self.high_p50));
+        m.insert("server.high_p90_us", median(&self.high_p90));
         m.insert("serve_sat_qps", median(&self.sat_qps));
         m.insert("server.submit_ns_p50", quantile(&self.submit_ns, 0.5));
         m.insert(
