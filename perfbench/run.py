@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Builds and runs the repository benchmark once.
 
-    python3 perfbench/run.py --workload paper-index --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload paper-index --seed 1 --seconds 16 --trace 0
 
 Run it from the repository root. It builds `perfbench/` (a cargo package of
 its own) in release mode into `$CARGO_TARGET_DIR`, default `.bench_build`,

@@ -21,7 +21,7 @@ use td_plf::{Plf, Pt};
 use td_server::TdServer;
 
 use crate::serve::{high_rate, serve_each, server_config, Judge, ServePlan, Served};
-use crate::stats::{median, quantile};
+use crate::stats::{lowest, median, quantile};
 use crate::trace::{Tracer, NO_REQ};
 use crate::{layers, Checks, Config, Report, WorkloadKind};
 
@@ -34,11 +34,8 @@ pub const CYCLES: usize = 5;
 const COST_SHARE: f64 = 0.3;
 const PATH_SHARE: f64 = 0.2;
 const PROFILE_SHARE: f64 = 0.5;
-/// Profile queries needed before the profile phase may stop, so that at
-/// least 15 samples lie beyond the reported p90.
-pub const MIN_PROFILE_PAIRS: usize = 150;
-/// Update batches needed before the update phase may stop.
-pub const MIN_UPDATES: usize = 3;
+/// Times each timed pair is profiled at least over the run.
+pub const MIN_PROFILE_PASSES: usize = 2;
 /// Cost answers compared with the Dijkstra oracle (plus query 0).
 pub const ORACLE_SAMPLE: usize = 200;
 /// Profiled pairs whose values are compared with the oracle.
@@ -79,24 +76,36 @@ impl Inputs {
     }
 }
 
-/// How long each phase of one cycle runs, as shares of the run's seconds.
+/// How long each phase of one cycle runs, as shares of the run's seconds,
+/// and how many pairs have their profiles timed.
 pub struct Plan {
     pub closed_loop: f64,
     pub updates: f64,
     pub serve: ServePlan,
+    /// The first this many pairs of the query set are profiled. TD-tree
+    /// profiles take about a millisecond, so every pair is; TD-A\*-CH
+    /// profiles take about 80 ms, so 100 pairs are, which leaves 10 samples
+    /// beyond the reported p90.
+    pub profile_pairs: usize,
 }
 
 impl Plan {
-    pub fn new(seconds: f64) -> Plan {
+    pub fn new(cfg: &Config) -> Plan {
+        let per_cycle = cfg.seconds / CYCLES as f64;
         Plan {
-            closed_loop: 0.30 / CYCLES as f64 * seconds,
-            updates: 0.40 / CYCLES as f64 * seconds,
+            closed_loop: 0.30 * per_cycle,
+            updates: 0.35 * per_cycle,
             serve: ServePlan {
-                warmup: 0.05 / CYCLES as f64 * seconds,
-                low: 0.12 / CYCLES as f64 * seconds,
-                high: 0.08 / CYCLES as f64 * seconds,
-                sat: 0.05 / CYCLES as f64 * seconds,
+                warmup: 0.05 * per_cycle,
+                low: 0.12 * per_cycle,
+                high: 0.08 * per_cycle,
+                sat: 0.10 * per_cycle,
             },
+            profile_pairs: match cfg.workload {
+                WorkloadKind::SearchCh => 100,
+                WorkloadKind::PaperIndex | WorkloadKind::ServeOpen => 1000,
+            }
+            .min(cfg.pairs),
         }
     }
 }
@@ -245,26 +254,29 @@ where
     let inputs = Inputs::generate(cfg);
     let budget = inputs.budget(cfg);
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5eed_bec4_0000_0001);
-    let plan = Plan::new(cfg.seconds);
+    let plan = Plan::new(cfg);
 
-    // Set-up: from generated graph to a servable index, median of several.
-    let reps = match (cfg.trace, cfg.workload) {
-        (true, _) => 1,
-        (false, WorkloadKind::SearchCh) => 15,
-        (false, _) => 3,
+    // Set-up: from generated graph to a servable index. Untraced runs set
+    // up again at the start of every later cycle and drop the copy, so that
+    // the median samples the whole run, as the other metrics do.
+    let reps = match cfg.workload {
+        WorkloadKind::SearchCh => 3,
+        WorkloadKind::PaperIndex | WorkloadKind::ServeOpen => 1,
     };
-    let mut times = Vec::new();
-    let mut built = None;
-    for _ in 0..reps {
-        drop(built.take());
-        let sp = tr.begin("bench.setup", NO_REQ);
-        let t = Instant::now();
-        built = Some(setup(&inputs.graph, budget, &mut tr, &cfg.out_dir));
-        times.push(t.elapsed().as_secs_f64());
-        tr.end(sp);
-    }
-    let index = built.expect("at least one set-up");
-    m.insert("setup_s", median(&times));
+    let mut setup_s = Vec::new();
+    let mut set_up = |tr: &mut Tracer| {
+        let mut built = None;
+        for _ in 0..reps {
+            drop(built.take());
+            let sp = tr.begin("bench.setup", NO_REQ);
+            let t = Instant::now();
+            built = Some(setup(&inputs.graph, budget, tr, &cfg.out_dir));
+            setup_s.push(t.elapsed().as_secs_f64());
+            tr.end(sp);
+        }
+        built.expect("at least one set-up")
+    };
+    let index = set_up(&mut tr);
     m.insert("index_mb", index.memory_bytes() as f64 / 1e6);
 
     let mut writer = match cfg.workload {
@@ -280,14 +292,18 @@ where
     let mut served = Served::default();
     let mut first: Option<Answers> = None;
     let mut batches: Vec<Batch> = Vec::new();
+    // Median batch time of each update slice.
     let mut update_ms = Vec::new();
     let mut next_batch = 0;
     let mut prev_costs: Option<Vec<Option<f64>>> = None;
     let mut stale = 0;
     for cycle in 0..CYCLES {
+        if !cfg.trace && cycle > 0 {
+            drop(set_up(&mut tr));
+        }
         let snap = writer.reader();
         let oracle = DijkstraOracle::new(snap.graph().clone());
-        let ans = rounds.run(&inputs, &*snap, &plan, &mut tr, &mut m);
+        let ans = rounds.run(&inputs, &*snap, &plan, &mut tr);
         check_answers(&inputs, snap.graph(), &ans, &oracle, &mut checks);
 
         let mut judge = Judge {
@@ -318,24 +334,30 @@ where
         // reader holds it, so no snapshot is alive here.
         let sp = tr.begin("bench.updates", NO_REQ);
         let start = Instant::now();
-        let quota = MIN_UPDATES.div_ceil(CYCLES) * (cycle + 1);
+        let mut slice = Vec::new();
         while next_batch < batches.len()
-            && (next_batch < quota || start.elapsed().as_secs_f64() < plan.updates)
+            && (slice.is_empty() || start.elapsed().as_secs_f64() < plan.updates)
         {
             let s = tr.begin("api.update", next_batch as u64);
             let r = writer.apply(&batches[next_batch]);
             tr.end(s);
-            if let Ok(took) = r {
-                update_ms.push(took.as_secs_f64() * 1e3);
+            // The run's first incident has no earlier one to clear, so it is
+            // applied but not timed.
+            if let (Ok(took), true) = (&r, next_batch > 0) {
+                slice.push(took.as_secs_f64() * 1e3);
             }
             checks.check(r.is_ok(), || format!("update batch {next_batch}: {r:?}"));
             next_batch += 1;
         }
+        if !slice.is_empty() {
+            update_ms.push(median(&slice));
+        }
         tr.end(sp);
     }
+    m.insert("setup_s", median(&setup_s));
     rounds.finish(&mut m);
     served.finish(&mut m);
-    m.insert("update_p50_ms", median(&update_ms));
+    m.insert("update_p50_ms", lowest(&update_ms));
 
     let after = writer.reader();
     check_after_updates(&inputs, &*after, &mut rng, &mut checks);
@@ -403,34 +425,38 @@ where
     }
 }
 
-/// Per-round statistics of the closed loop across cycles.
+/// Per-pass statistics of the closed loop across cycles.
 #[derive(Default)]
 struct Rounds {
+    /// Untraced cost passes.
     cost_p50: Vec<f64>,
     cost_p99: Vec<f64>,
+    /// Traced cost passes (the first of each traced round).
+    traced_p50: Vec<f64>,
     path_p50: Vec<f64>,
+    /// Fastest profile time of each timed pair so far.
     profile_ms: Vec<f64>,
     rounds: usize,
-    /// Next pair to profile.
-    next_pair: usize,
+    /// Profile queries asked so far; the next one asks pair
+    /// `profiled % profile_ms.len()`.
+    profiled: usize,
 }
 
 impl Rounds {
     /// One closed-loop round on one session: passes of cost queries and then
     /// of path queries over the whole query set, each until its share of the
-    /// round is spent, and the next slice of profile pairs (at least
-    /// [`MIN_PROFILE_PAIRS`] over the run). Answers come from the first
-    /// pass.
+    /// round is spent, and profile queries that go round the plan's
+    /// profiled pairs until theirs is (and each pair is asked at least
+    /// [`MIN_PROFILE_PASSES`] times over the run). Cost and path answers come
+    /// from the first pass.
     fn run<I: RoutingIndex + ?Sized>(
         &mut self,
         inputs: &Inputs,
         index: &I,
         plan: &Plan,
         tr: &mut Tracer,
-        m: &mut BTreeMap<&'static str, f64>,
     ) -> Answers {
         let qs = &inputs.queries;
-        let pairs = qs.len() / TIMES_PER_PAIR;
         let round = self.rounds;
         self.rounds += 1;
         let mut session = QuerySession::new(index);
@@ -442,8 +468,10 @@ impl Rounds {
         let sp = tr.begin("bench.cost", NO_REQ);
         let start = Instant::now();
         let traced = tr.on();
+        // A traced round makes at least one untraced pass to compare with.
+        let min_passes = 1 + usize::from(traced);
         for pass in 0.. {
-            if pass > 0 && start.elapsed().as_secs_f64() > COST_SHARE * plan.closed_loop {
+            if pass >= min_passes && start.elapsed().as_secs_f64() > COST_SHARE * plan.closed_loop {
                 break;
             }
             // Spans cover the first pass; repeats only add timing samples.
@@ -460,27 +488,15 @@ impl Rounds {
                     costs[i] = c;
                 }
             }
-            self.cost_p50.push(quantile(&lat, 0.5));
-            self.cost_p99.push(quantile(&lat, 0.99));
+            if tr.on() {
+                self.traced_p50.push(quantile(&lat, 0.5));
+            } else {
+                self.cost_p50.push(quantile(&lat, 0.5));
+                self.cost_p99.push(quantile(&lat, 0.99));
+            }
         }
         tr.set_on(traced);
         tr.end(sp);
-        if round == 0 && traced {
-            // Tracing overhead: the traced first pass against another pass
-            // with the recorder off.
-            tr.set_on(false);
-            let plain: Vec<f64> = qs
-                .iter()
-                .map(|q| {
-                    let t = Instant::now();
-                    black_box(session.query_cost(q.source, q.destination, q.depart));
-                    t.elapsed().as_nanos() as f64 / 1e3
-                })
-                .collect();
-            tr.set_on(true);
-            let (with, plain) = (self.cost_p50[0], quantile(&plain, 0.5));
-            m.insert("trace.overhead_pct", (with - plain) / plain * 100.0);
-        }
 
         let mut paths = Vec::with_capacity(qs.len());
         let sp = tr.begin("bench.path", NO_REQ);
@@ -507,24 +523,27 @@ impl Rounds {
         tr.set_on(traced);
         tr.end(sp);
 
+        if self.profile_ms.is_empty() {
+            self.profile_ms = vec![f64::INFINITY; plan.profile_pairs];
+        }
+        let timed = self.profile_ms.len();
         let mut profiles = Vec::new();
         let sp = tr.begin("bench.profile", NO_REQ);
         let start = Instant::now();
-        let quota = MIN_PROFILE_PAIRS.div_ceil(CYCLES) * (round + 1);
-        while self.next_pair < pairs
-            && (self.next_pair < quota
-                || start.elapsed().as_secs_f64() < PROFILE_SHARE * plan.closed_loop)
+        let quota = (MIN_PROFILE_PASSES * timed).div_ceil(CYCLES) * (round + 1);
+        while self.profiled < quota
+            || start.elapsed().as_secs_f64() < PROFILE_SHARE * plan.closed_loop
         {
-            let p = self.next_pair;
+            let p = self.profiled % timed;
             let q = &qs[p * TIMES_PER_PAIR];
             let s = tr.begin("api.QuerySession::query_profile", p as u64);
             let t = Instant::now();
             let f = black_box(session.query_profile(q.source, q.destination));
             let dt = t.elapsed();
             tr.end(s);
-            self.profile_ms.push(dt.as_secs_f64() * 1e3);
+            self.profile_ms[p] = self.profile_ms[p].min(dt.as_secs_f64() * 1e3);
             profiles.push((p, f));
-            self.next_pair += 1;
+            self.profiled += 1;
         }
         tr.end(sp);
         Answers {
@@ -534,14 +553,24 @@ impl Rounds {
         }
     }
 
-    /// Cost and path percentiles are the median over every pass of the
-    /// pass's percentile, which a short burst of interference on the shared
-    /// machine moves by one pass at most; profile percentiles pool every
-    /// round's samples.
+    /// Work from other tenants of a shared machine only ever adds time, and
+    /// it comes in spells of seconds to minutes that slow every query of a
+    /// pass alike. So a cost or path percentile is the lowest over the run's
+    /// passes of that pass's percentile, and a profile percentile is taken
+    /// over each pair's fastest time.
     fn finish(&self, m: &mut BTreeMap<&'static str, f64>) {
-        m.insert("cost_p50_us", median(&self.cost_p50));
-        m.insert("cost_p99_us", median(&self.cost_p99));
-        m.insert("path_p50_us", median(&self.path_p50));
+        m.insert("cost_p50_us", lowest(&self.cost_p50));
+        if !self.traced_p50.is_empty() {
+            // Tracing overhead: the traced passes against the untraced ones
+            // of the same rounds, each side at its fastest.
+            let plain = lowest(&self.cost_p50);
+            m.insert(
+                "trace.overhead_pct",
+                (lowest(&self.traced_p50) - plain) / plain * 100.0,
+            );
+        }
+        m.insert("cost_p99_us", lowest(&self.cost_p99));
+        m.insert("path_p50_us", lowest(&self.path_p50));
         m.insert("profile_p50_ms", quantile(&self.profile_ms, 0.5));
         m.insert("profile_p90_ms", quantile(&self.profile_ms, 0.9));
     }

@@ -15,6 +15,16 @@ pub fn median(samples: &[f64]) -> f64 {
     quantile(samples, 0.5)
 }
 
+/// The smallest sample; `+inf` for none.
+pub fn lowest(samples: &[f64]) -> f64 {
+    samples.iter().copied().fold(f64::INFINITY, f64::min)
+}
+
+/// The largest sample; `-inf` for none.
+pub fn highest(samples: &[f64]) -> f64 {
+    samples.iter().copied().fold(f64::NEG_INFINITY, f64::max)
+}
+
 /// `num / den`, 0 when nothing was counted.
 pub fn ratio(num: f64, den: f64) -> f64 {
     if den == 0.0 {
