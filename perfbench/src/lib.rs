@@ -229,34 +229,25 @@ impl Report {
             .collect()
     }
 
-    /// The result line: one JSON object.
-    pub fn to_json(&self) -> String {
-        let metrics: Vec<String> = self
-            .reported()
-            .into_iter()
-            .map(|(name, v, unit)| {
-                format!(
-                    "\"{name}\": {{\"value\": {}, \"unit\": \"{unit}\"}}",
-                    json_num(v)
-                )
-            })
-            .collect();
-        format!(
+    /// The result line: one JSON object, each value with all its digits.
+    /// A metric measured as NaN or infinite is an error: the run measured
+    /// nothing there, and no stand-in value would read as a broken run.
+    pub fn to_json(&self) -> Result<String, String> {
+        let mut metrics = Vec::new();
+        for (name, v, unit) in self.reported() {
+            if !v.is_finite() {
+                return Err(format!("metric {name} measured as {v}"));
+            }
+            metrics.push(format!(
+                "\"{name}\": {{\"value\": {v:?}, \"unit\": \"{unit}\"}}"
+            ));
+        }
+        Ok(format!(
             "{{\"correct\": {}, \"attempted\": {}, \"failed\": {}, \"metrics\": {{{}}}}}",
             self.checks.failed == 0,
             self.checks.attempted,
             self.checks.failed,
             metrics.join(", ")
-        )
-    }
-}
-
-/// A finite JSON number with all its digits (non-finite values become -1,
-/// which no metric can otherwise take).
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "-1.0".to_string()
+        ))
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Prints each reported metric as `name value unit`, then, as the last line,
 //! the result object `{"correct", "attempted", "failed", "metrics"}`.
-//! `--scale`, `--pairs` and `--out-dir` override the network scale, the
-//! number of query pairs and where snapshots and span files go.
+//! `--out-dir` sets where snapshots and span files go. A run that measured a
+//! metric as NaN or infinite exits non-zero without printing a result.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -13,7 +13,7 @@ use td_perfbench::{run, Config, WorkloadKind};
 fn parse() -> Result<Config, String> {
     let mut args = std::env::args().skip(1);
     let (mut workload, mut seed, mut seconds, mut trace) = (None, None, None, None);
-    let (mut scale, mut pairs, mut out_dir) = (None, None, None);
+    let mut out_dir = None;
     while let Some(flag) = args.next() {
         let value = args.next().ok_or(format!("{flag} needs a value"))?;
         let bad = |e: &dyn std::fmt::Display| format!("{flag} {value}: {e}");
@@ -28,8 +28,6 @@ fn parse() -> Result<Config, String> {
                     _ => return Err(bad(&"expected 0 or 1")),
                 })
             }
-            "--scale" => scale = Some(value.parse::<f64>().map_err(|e| bad(&e))?),
-            "--pairs" => pairs = Some(value.parse::<usize>().map_err(|e| bad(&e))?),
             "--out-dir" => out_dir = Some(PathBuf::from(value)),
             _ => return Err(format!("unknown flag {flag}")),
         }
@@ -44,15 +42,6 @@ fn parse() -> Result<Config, String> {
         seconds,
         trace.ok_or("--trace is required")?,
     );
-    if let Some(scale) = scale {
-        cfg.scale = scale;
-    }
-    if let Some(pairs) = pairs {
-        if pairs == 0 {
-            return Err("--pairs must be positive".into());
-        }
-        cfg.pairs = pairs;
-    }
     if let Some(dir) = out_dir {
         cfg.out_dir = dir;
     }
@@ -74,9 +63,16 @@ fn main() -> ExitCode {
     if let Some(path) = &report.trace_file {
         println!("spans written to {}", path.display());
     }
+    let json = match report.to_json() {
+        Ok(json) => json,
+        Err(e) => {
+            eprintln!("td-perfbench: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     for (name, value, unit) in report.reported() {
         println!("{name} {value} {unit}");
     }
-    println!("{}", report.to_json());
+    println!("{json}");
     ExitCode::SUCCESS
 }

@@ -20,7 +20,7 @@ use td_graph::{Path, TdGraph, VertexId};
 use td_plf::{Plf, Pt};
 use td_server::TdServer;
 
-use crate::serve::{high_rate, serve_each, server_config, Judge, ServePlan, Served};
+use crate::serve::{high_rate, probe, serve_each, server_config, Judge, ServePlan, Served};
 use crate::stats::{lowest, median, quantile};
 use crate::trace::{Tracer, NO_REQ};
 use crate::{layers, Checks, Config, Report, WorkloadKind};
@@ -36,6 +36,9 @@ const PATH_SHARE: f64 = 0.2;
 const PROFILE_SHARE: f64 = 0.5;
 /// Times each timed pair is profiled at least over the run.
 pub const MIN_PROFILE_PASSES: usize = 2;
+/// Time spent on cost and path passes interleaved with the profile
+/// queries, as a share of the time the profile queries take.
+const INTERLEAVE: f64 = 0.25;
 /// Cost answers compared with the Dijkstra oracle (plus query 0).
 pub const ORACLE_SAMPLE: usize = 200;
 /// Profiled pairs whose values are compared with the oracle.
@@ -44,6 +47,8 @@ pub const ORACLE_PROFILES: usize = 10;
 pub const POST_UPDATE_SAMPLE: usize = 100;
 /// Edges an incident jams, spread along one route.
 pub const INCIDENT_EDGES: usize = 4;
+/// Incidents in the run's ring of update batches.
+pub const INCIDENTS: usize = 3;
 /// Rush-hour multiplier of a jammed edge at its 08:00 peak.
 pub const RUSH: f64 = 3.0;
 
@@ -252,6 +257,10 @@ where
     let mut checks = Checks::default();
     let mut m: BTreeMap<&'static str, f64> = BTreeMap::new();
     let inputs = Inputs::generate(cfg);
+    // The graph as the applied batches left it, kept here rather than read
+    // from the index, so that an index that drops an update disagrees with
+    // the oracle instead of agreeing with it.
+    let mut expected = inputs.graph.clone();
     let budget = inputs.budget(cfg);
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5eed_bec4_0000_0001);
     let plan = Plan::new(cfg);
@@ -292,8 +301,10 @@ where
     let mut served = Served::default();
     let mut first: Option<Answers> = None;
     let mut batches: Vec<Batch> = Vec::new();
+    // Fastest time of each batch of the ring so far.
     let mut update_ms = Vec::new();
-    let mut next_batch = 0;
+    let mut applied = 0;
+    let mut last_applied: Option<usize> = None;
     let mut prev_costs: Option<Vec<Option<f64>>> = None;
     let mut stale = 0;
     for cycle in 0..CYCLES {
@@ -301,15 +312,26 @@ where
             drop(set_up(&mut tr));
         }
         let snap = writer.reader();
-        let oracle = DijkstraOracle::new(snap.graph().clone());
+        if let Some(b) = last_applied {
+            check_weights(snap.graph(), &batches[b], &mut checks);
+        }
+        let oracle = DijkstraOracle::new(expected.clone());
         let ans = rounds.run(&inputs, &*snap, &plan, &mut tr);
-        check_answers(&inputs, snap.graph(), &ans, &oracle, &mut checks);
+        check_answers(&inputs, &expected, &ans, &oracle, &mut checks);
 
+        if let Writer::Lane(_, server) = &writer {
+            let prev = prev_costs.as_deref().unwrap_or(&ans.costs);
+            stale += u64::from(probe(
+                server,
+                &inputs.queries,
+                &ans.costs,
+                prev,
+                &mut checks,
+            ));
+        }
         let mut judge = Judge {
             now: &ans.costs,
-            prev: prev_costs.as_deref(),
             checks: &mut checks,
-            stale: &mut stale,
         };
         writer.with_server(&snap, |server| {
             served.slice(
@@ -326,6 +348,7 @@ where
         prev_costs = Some(ans.costs.clone());
         if first.is_none() {
             batches = incidents(&inputs, &ans, &mut rng);
+            update_ms = vec![f64::INFINITY; batches.len()];
             first = Some(ans);
         }
 
@@ -333,54 +356,59 @@ where
         // reader holds it, so no snapshot is alive here.
         let sp = tr.begin("bench.updates", NO_REQ);
         let start = Instant::now();
-        let first_here = next_batch;
-        while next_batch < batches.len()
-            && (next_batch == first_here || start.elapsed().as_secs_f64() < plan.updates)
-        {
-            let s = tr.begin("api.update", next_batch as u64);
-            let r = writer.apply(&batches[next_batch]);
+        let first_here = applied;
+        while applied == first_here || start.elapsed().as_secs_f64() < plan.updates {
+            let b = applied % batches.len();
+            let s = tr.begin("api.update", b as u64);
+            let r = writer.apply(&batches[b]);
             tr.end(s);
-            // The run's first incident has no earlier one to clear, so it is
-            // applied but not timed.
-            if let (Ok(took), true) = (&r, next_batch > 0) {
-                update_ms.push(took.as_secs_f64() * 1e3);
+            // The run's first batch has no earlier incident to clear, so it
+            // is applied but not timed.
+            if let (Ok(took), true) = (&r, applied > 0) {
+                update_ms[b] = update_ms[b].min(took.as_secs_f64() * 1e3);
             }
-            checks.check(r.is_ok(), || format!("update batch {next_batch}: {r:?}"));
-            next_batch += 1;
+            if r.is_ok() {
+                for (u, v, w) in &batches[b] {
+                    let e = expected.find_edge(*u, *v).expect("incident edge");
+                    expected.set_weight(e, w.clone()).expect("valid weight");
+                }
+                last_applied = Some(b);
+            }
+            checks.check(r.is_ok(), || format!("update batch {b}: {r:?}"));
+            applied += 1;
         }
         tr.end(sp);
     }
     m.insert("setup_s", median(&setup_s));
     rounds.finish(&mut m);
     served.finish(&mut m);
-    // Each incident costs what repairing its edges costs, which differs
-    // from incident to incident, so update time is a median over the run's
-    // incidents rather than a best slice.
+    // Every batch of the ring does the same work each time it is applied,
+    // so, as with profiles, each counts at its fastest.
     m.insert("update_p50_ms", median(&update_ms));
 
     let after = writer.reader();
-    check_after_updates(&inputs, &*after, &mut rng, &mut checks);
+    if let Some(b) = last_applied {
+        check_weights(after.graph(), &batches[b], &mut checks);
+    }
+    check_after_updates(&inputs, &expected, &*after, &mut rng, &mut checks);
     if let Writer::Lane(_, server) = &writer {
-        // Replies after the updates must come from the updated index, or —
-        // for the dispatcher's first batch — from the epoch it last served.
-        let picks: Vec<usize> = (0..POST_UPDATE_SAMPLE)
-            .map(|_| rng.gen_range(0..inputs.queries.len()))
-            .collect();
-        let sample: Vec<Query> = picks.iter().map(|&i| inputs.queries[i]).collect();
+        // Replies after the last updates must come from the updated index.
         let mut session = QuerySession::new(&*after);
-        let now: Vec<Option<f64>> = sample
+        let now: Vec<Option<f64>> = inputs
+            .queries
             .iter()
             .map(|q| session.query_cost(q.source, q.destination, q.depart))
             .collect();
-        let last = prev_costs.as_ref().expect("one cycle ran");
-        let prev: Vec<Option<f64>> = picks.iter().map(|&i| last[i]).collect();
+        let prev = prev_costs.as_ref().expect("one cycle ran");
+        stale += u64::from(probe(server, &inputs.queries, &now, prev, &mut checks));
+        let picks: Vec<usize> = (0..POST_UPDATE_SAMPLE)
+            .map(|_| rng.gen_range(0..inputs.queries.len()))
+            .collect();
         let mut judge = Judge {
             now: &now,
-            prev: Some(&prev),
             checks: &mut checks,
-            stale: &mut stale,
         };
-        serve_each(server, &sample, &mut judge);
+        serve_each(server, &inputs.queries, &picks, &mut judge);
     }
     m.insert("server.stale_replies", stale as f64);
     if cfg.trace {
@@ -427,12 +455,13 @@ where
 /// Per-pass statistics of the closed loop across cycles.
 #[derive(Default)]
 struct Rounds {
-    /// Untraced cost passes.
-    cost_p50: Vec<f64>,
-    cost_p99: Vec<f64>,
-    /// Traced cost passes (the first of each traced round).
+    /// p50 of each untraced cost pass and of each traced one (the first of
+    /// each traced round), for the tracing overhead.
+    plain_p50: Vec<f64>,
     traced_p50: Vec<f64>,
-    path_p50: Vec<f64>,
+    /// Fastest untraced time of each query so far, in microseconds.
+    cost_us: Vec<f64>,
+    path_us: Vec<f64>,
     /// Fastest profile time of each timed pair so far.
     profile_ms: Vec<f64>,
     rounds: usize,
@@ -446,8 +475,11 @@ impl Rounds {
     /// of path queries over the whole query set, each until its share of the
     /// round is spent, and profile queries that go round the plan's
     /// profiled pairs until theirs is (and each pair is asked at least
-    /// [`MIN_PROFILE_PASSES`] times over the run). Cost and path answers come
-    /// from the first pass.
+    /// [`MIN_PROFILE_PASSES`] times over the run). Between the profile
+    /// queries further cost and path passes are timed, taking
+    /// [`INTERLEAVE`] of the profile time, so that the cost and path samples
+    /// cover the whole round even where profiles take most of it. Cost and
+    /// path answers come from the first pass.
     fn run<I: RoutingIndex + ?Sized>(
         &mut self,
         inputs: &Inputs,
@@ -462,11 +494,10 @@ impl Rounds {
         for q in qs.iter().take(100) {
             black_box(session.query_cost(q.source, q.destination, q.depart));
         }
+        let traced = tr.on();
         let mut costs = vec![None; qs.len()];
-        let mut lat = Vec::with_capacity(qs.len());
         let sp = tr.begin("bench.cost", NO_REQ);
         let start = Instant::now();
-        let traced = tr.on();
         // A traced round makes at least one untraced pass to compare with.
         let min_passes = 1 + usize::from(traced);
         for pass in 0.. {
@@ -475,24 +506,7 @@ impl Rounds {
             }
             // Spans cover the first pass; repeats only add timing samples.
             tr.set_on(traced && pass == 0);
-            lat.clear();
-            for (i, q) in qs.iter().enumerate() {
-                let s = tr.begin("api.QuerySession::query_cost", i as u64);
-                let t = Instant::now();
-                let c = black_box(session.query_cost(q.source, q.destination, q.depart));
-                let dt = t.elapsed();
-                tr.end(s);
-                lat.push(dt.as_nanos() as f64 / 1e3);
-                if pass == 0 {
-                    costs[i] = c;
-                }
-            }
-            if tr.on() {
-                self.traced_p50.push(quantile(&lat, 0.5));
-            } else {
-                self.cost_p50.push(quantile(&lat, 0.5));
-                self.cost_p99.push(quantile(&lat, 0.99));
-            }
+            self.cost_pass(&mut session, qs, tr, (pass == 0).then_some(&mut costs));
         }
         tr.set_on(traced);
         tr.end(sp);
@@ -505,19 +519,7 @@ impl Rounds {
                 break;
             }
             tr.set_on(traced && pass == 0);
-            lat.clear();
-            for (i, q) in qs.iter().enumerate() {
-                let s = tr.begin("api.QuerySession::query_path", i as u64);
-                let t = Instant::now();
-                let p = black_box(session.query_path(q.source, q.destination, q.depart));
-                let dt = t.elapsed();
-                tr.end(s);
-                lat.push(dt.as_nanos() as f64 / 1e3);
-                if pass == 0 {
-                    paths.push(p);
-                }
-            }
-            self.path_p50.push(quantile(&lat, 0.5));
+            self.path_pass(&mut session, qs, tr, (pass == 0).then_some(&mut paths));
         }
         tr.set_on(traced);
         tr.end(sp);
@@ -529,6 +531,7 @@ impl Rounds {
         let mut profiles = Vec::new();
         let sp = tr.begin("bench.profile", NO_REQ);
         let start = Instant::now();
+        let (mut profile_time, mut pass_time) = (Duration::ZERO, Duration::ZERO);
         let quota = (MIN_PROFILE_PASSES * timed).div_ceil(CYCLES) * (round + 1);
         while self.profiled < quota
             || start.elapsed().as_secs_f64() < PROFILE_SHARE * plan.closed_loop
@@ -543,6 +546,15 @@ impl Rounds {
             self.profile_ms[p] = self.profile_ms[p].min(dt.as_secs_f64() * 1e3);
             profiles.push((p, f));
             self.profiled += 1;
+            profile_time += dt;
+            if pass_time.as_secs_f64() < INTERLEAVE * profile_time.as_secs_f64() {
+                let t = Instant::now();
+                tr.set_on(false);
+                self.cost_pass(&mut session, qs, tr, None);
+                self.path_pass(&mut session, qs, tr, None);
+                tr.set_on(traced);
+                pass_time += t.elapsed();
+            }
         }
         tr.end(sp);
         Answers {
@@ -552,24 +564,83 @@ impl Rounds {
         }
     }
 
+    /// Times one `query_cost` of every query; keeps the answers in `keep`.
+    fn cost_pass<I: RoutingIndex + ?Sized>(
+        &mut self,
+        session: &mut QuerySession<'_, I>,
+        qs: &[Query],
+        tr: &mut Tracer,
+        mut keep: Option<&mut Vec<Option<f64>>>,
+    ) {
+        let mut lat = Vec::with_capacity(qs.len());
+        if self.cost_us.is_empty() {
+            self.cost_us = vec![f64::INFINITY; qs.len()];
+        }
+        for (i, q) in qs.iter().enumerate() {
+            let s = tr.begin("api.QuerySession::query_cost", i as u64);
+            let t = Instant::now();
+            let c = black_box(session.query_cost(q.source, q.destination, q.depart));
+            let dt = t.elapsed();
+            tr.end(s);
+            lat.push(dt.as_nanos() as f64 / 1e3);
+            if let Some(keep) = keep.as_deref_mut() {
+                keep[i] = c;
+            }
+        }
+        if tr.on() {
+            self.traced_p50.push(quantile(&lat, 0.5));
+        } else {
+            self.plain_p50.push(quantile(&lat, 0.5));
+            for (best, &t) in self.cost_us.iter_mut().zip(&lat) {
+                *best = best.min(t);
+            }
+        }
+    }
+
+    /// Times one `query_path` of every query; keeps the answers in `keep`.
+    fn path_pass<I: RoutingIndex + ?Sized>(
+        &mut self,
+        session: &mut QuerySession<'_, I>,
+        qs: &[Query],
+        tr: &mut Tracer,
+        mut keep: Option<&mut Vec<Option<(f64, Path)>>>,
+    ) {
+        if self.path_us.is_empty() {
+            self.path_us = vec![f64::INFINITY; qs.len()];
+        }
+        for (i, q) in qs.iter().enumerate() {
+            let s = tr.begin("api.QuerySession::query_path", i as u64);
+            let t = Instant::now();
+            let p = black_box(session.query_path(q.source, q.destination, q.depart));
+            let dt = t.elapsed();
+            tr.end(s);
+            if !tr.on() {
+                let best = &mut self.path_us[i];
+                *best = best.min(dt.as_nanos() as f64 / 1e3);
+            }
+            if let Some(keep) = keep.as_deref_mut() {
+                keep.push(p);
+            }
+        }
+    }
+
     /// Work from other tenants of a shared machine only ever adds time, and
-    /// it comes in spells of seconds to minutes that slow every query of a
-    /// pass alike. So a cost or path percentile is the lowest over the run's
-    /// passes of that pass's percentile, and a profile percentile is taken
-    /// over each pair's fastest time.
+    /// it comes in spells, from milliseconds to minutes, that slow every
+    /// query alike. So cost, path and profile percentiles are taken over
+    /// each query's fastest time in the run.
     fn finish(&self, m: &mut BTreeMap<&'static str, f64>) {
-        m.insert("cost_p50_us", lowest(&self.cost_p50));
+        m.insert("cost_p50_us", quantile(&self.cost_us, 0.5));
+        m.insert("cost_p99_us", quantile(&self.cost_us, 0.99));
+        m.insert("path_p50_us", quantile(&self.path_us, 0.5));
         if !self.traced_p50.is_empty() {
             // Tracing overhead: the traced passes against the untraced ones
             // of the same rounds, each side at its fastest.
-            let plain = lowest(&self.cost_p50);
+            let plain = lowest(&self.plain_p50);
             m.insert(
                 "trace.overhead_pct",
                 (lowest(&self.traced_p50) - plain) / plain * 100.0,
             );
         }
-        m.insert("cost_p99_us", lowest(&self.cost_p99));
-        m.insert("path_p50_us", lowest(&self.path_p50));
         m.insert("profile_p50_ms", quantile(&self.profile_ms, 0.5));
         m.insert("profile_p90_ms", quantile(&self.profile_ms, 0.9));
     }
@@ -671,16 +742,17 @@ pub fn jam(w: &Plf) -> Plf {
     .expect("a jammed FIFO profile stays valid")
 }
 
-/// Seeded incident batches. Each jams up to [`INCIDENT_EDGES`] edges spread
-/// along the route of a random query and clears the previous incident, so
-/// the network carries one incident at a time and every batch changes
-/// weights.
+/// A seeded ring of [`INCIDENTS`] update batches. Each incident jams up to
+/// [`INCIDENT_EDGES`] edges spread along the route of a random query; batch
+/// `j` jams incident `j` and clears incident `j - 1` (the last, for batch
+/// 0). Applied round and round, the network carries one incident at a time,
+/// and each batch meets the same network each time it comes round (after
+/// the first round), so it does the same work every time.
 pub fn incidents(inputs: &Inputs, ans: &Answers, rng: &mut StdRng) -> Vec<Batch> {
     let g = &inputs.graph;
-    let mut out: Vec<Batch> = Vec::new();
-    let mut prev: Vec<(VertexId, VertexId)> = Vec::new();
+    let mut jams: Vec<Vec<(VertexId, VertexId)>> = Vec::new();
     let mut tries = 0;
-    while out.len() < 1024 && tries < 100_000 {
+    while jams.len() < INCIDENTS && tries < 100_000 {
         tries += 1;
         let i = rng.gen_range(0..ans.paths.len());
         let Some((_, path)) = &ans.paths[i] else {
@@ -695,28 +767,48 @@ pub fn incidents(inputs: &Inputs, ans: &Answers, rng: &mut StdRng) -> Vec<Batch>
             .map(|h| (path.vertices[h], path.vertices[h + 1]))
             .collect();
         edges.dedup();
-        let weight = |u, v| g.weight(g.find_edge(u, v).expect("route edge")).clone();
-        let mut batch: Batch = prev
-            .iter()
-            .filter(|e| !edges.contains(e))
-            .map(|&(u, v)| (u, v, weight(u, v)))
-            .collect();
-        batch.extend(edges.iter().map(|&(u, v)| (u, v, jam(&weight(u, v)))));
-        prev = edges;
-        out.push(batch);
+        if !jams.contains(&edges) {
+            jams.push(edges);
+        }
     }
-    out
+    assert_eq!(jams.len(), INCIDENTS, "no routes to put incidents on");
+    let weight = |u, v| g.weight(g.find_edge(u, v).expect("route edge")).clone();
+    (0..INCIDENTS)
+        .map(|j| {
+            let (prev, edges) = (&jams[(j + INCIDENTS - 1) % INCIDENTS], &jams[j]);
+            let mut batch: Batch = prev
+                .iter()
+                .filter(|e| !edges.contains(e))
+                .map(|&(u, v)| (u, v, weight(u, v)))
+                .collect();
+            batch.extend(edges.iter().map(|&(u, v)| (u, v, jam(&weight(u, v)))));
+            batch
+        })
+        .collect()
+}
+
+/// The index's stored graph must hold the weights `batch` set.
+fn check_weights(g: &TdGraph, batch: &Batch, checks: &mut Checks) {
+    for (u, v, w) in batch {
+        let ok = g
+            .find_edge(*u, *v)
+            .is_some_and(|e| g.weight(e).approx_eq(w, 1e-9));
+        checks.check(ok, || {
+            format!("edge {u}->{v} does not hold the weight its last update set")
+        });
+    }
 }
 
 /// A seeded sample of cost queries on the updated index must equal the
-/// oracle on the updated graph.
+/// oracle on the `expected` graph.
 fn check_after_updates<I: RoutingIndex + ?Sized>(
     inputs: &Inputs,
+    expected: &TdGraph,
     index: &I,
     rng: &mut StdRng,
     checks: &mut Checks,
 ) {
-    let oracle = DijkstraOracle::new(index.graph().clone());
+    let oracle = DijkstraOracle::new(expected.clone());
     let mut session = QuerySession::new(index);
     for _ in 0..POST_UPDATE_SAMPLE {
         let q = &inputs.queries[rng.gen_range(0..inputs.queries.len())];

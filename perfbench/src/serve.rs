@@ -57,34 +57,18 @@ pub struct ServePlan {
     pub sat: f64,
 }
 
-/// Checks replies against direct-session answers. A live server's
-/// dispatcher moves to a new epoch only after finishing the batch it is on,
-/// and it looks for a new epoch only between batches, so the first batch
-/// after an update may still be answered from the previous epoch. Such a
-/// reply must equal the session answer on that previous epoch; it is counted
-/// as stale rather than failed. Any other reply must be exact and
-/// bit-identical to the session answer on the current epoch.
+/// Checks served replies: each must be exact and bit-identical to the
+/// session answer on the index the server serves.
 pub struct Judge<'a> {
     pub now: &'a [Option<f64>],
-    pub prev: Option<&'a [Option<f64>]>,
     pub checks: &'a mut Checks,
-    pub stale: &'a mut u64,
 }
 
 impl Judge<'_> {
     fn reply(&mut self, res: &ServeResult, q: &Query, qi: usize) {
-        let bits = |c: Option<f64>| c.map(f64::to_bits);
-        let got = match res {
-            Ok(BoundedAnswer::Exact(c)) => Some(bits(*c)),
-            _ => None,
-        };
         let now = self.now[qi];
-        let stale =
-            got.is_some() && got != Some(bits(now)) && got == self.prev.map(|p| bits(p[qi]));
-        if stale {
-            *self.stale += 1;
-        }
-        self.checks.check(stale || got == Some(bits(now)), || {
+        let ok = matches!(res, Ok(BoundedAnswer::Exact(c)) if c.map(f64::to_bits) == now.map(f64::to_bits));
+        self.checks.check(ok, || {
             format!(
                 "served {}->{} @{}: {res:?}, session answered {now:?}",
                 q.source, q.destination, q.depart
@@ -95,6 +79,43 @@ impl Judge<'_> {
     fn refused(&mut self, e: &dyn std::fmt::Display) {
         self.checks.check(false, || format!("request refused: {e}"));
     }
+}
+
+/// Brings a live server's dispatcher onto the current epoch before the
+/// replies are judged strictly. The dispatcher looks for a new epoch only
+/// after finishing a batch, so the first batch after an update is answered
+/// from the epoch it last served. This sends one request alone, preferring
+/// a query whose answer the update changed, and waits for it: that batch
+/// may answer from `prev` (the session answers on the previous epoch) or
+/// from `now`. Every later reply must answer from `now`. Returns whether
+/// the reply was stale.
+pub fn probe<I: RoutingIndex + 'static>(
+    server: &TdServer<I>,
+    queries: &[Query],
+    now: &[Option<f64>],
+    prev: &[Option<f64>],
+    checks: &mut Checks,
+) -> bool {
+    let bits = |c: Option<f64>| c.map(f64::to_bits);
+    let qi = (0..queries.len())
+        .find(|&i| bits(now[i]) != bits(prev[i]))
+        .unwrap_or(0);
+    let q = &queries[qi];
+    let res = server
+        .submit(q.source, q.destination, q.depart, None)
+        .map(|h| h.wait());
+    let got = match &res {
+        Ok(Ok(BoundedAnswer::Exact(c))) => Some(bits(*c)),
+        _ => None,
+    };
+    let stale = got == Some(bits(prev[qi])) && got != Some(bits(now[qi]));
+    checks.check(stale || got == Some(bits(now[qi])), || {
+        format!(
+            "probe {}->{} @{}: {res:?}, session answered {:?} now and {:?} before",
+            q.source, q.destination, q.depart, now[qi], prev[qi]
+        )
+    });
+    stale
 }
 
 struct Pending {
@@ -353,14 +374,16 @@ impl Served {
     }
 }
 
-/// Sends each of `queries` once and waits for its reply; for checks outside
-/// the timed phases.
+/// Sends the queries at `picks` one at a time and waits for each reply; for
+/// checks outside the timed phases.
 pub fn serve_each<I: RoutingIndex + 'static>(
     server: &TdServer<I>,
     queries: &[Query],
+    picks: &[usize],
     judge: &mut Judge,
 ) {
-    for (qi, q) in queries.iter().enumerate() {
+    for &qi in picks {
+        let q = &queries[qi];
         match server.submit(q.source, q.destination, q.depart, None) {
             Ok(h) => judge.reply(&h.wait(), q, qi),
             Err(e) => judge.refused(&e),

@@ -2,7 +2,7 @@
 """Runs the benchmark over several seeds and summarises each metric.
 
     python3 perfbench/sweep.py --workloads paper-index search-ch serve-open \
-        --seeds 1 2 3 4 5 6 7 8 9 10 --trace 0 --out perfbench/baseline/untraced.json
+        --seeds 1 2 3 4 5 6 7 8 9 10 --trace 0 --out perfbench/baseline/untraced-1.json
 
 For each workload and metric it reports the median of the runs and the
 spread: the distance between the first and third quartile (as
@@ -28,14 +28,12 @@ def main():
     ap.add_argument("--workloads", nargs="+", required=True)
     ap.add_argument("--seeds", nargs="+", type=int, required=True)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--seconds", type=int, default=None,
-                    help="default: run_seconds from BENCHMARK.json")
     ap.add_argument("--out", default=None, help="write the runs and the summary here")
     args = ap.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     bounds = {m["name"]: m.get("bound") for m in bench["end_to_end"]}
 
     runs = []

@@ -99,7 +99,7 @@ fn assert_complete(report: &Report, what: &str) {
         report.checks.first_failures
     );
     assert!(report.checks.attempted > 0, "{what}: nothing checked");
-    let json = report.to_json();
+    let json = report.to_json().expect("every metric finite");
     assert!(json.starts_with("{\"correct\": true, "), "{what}: {json}");
     for (name, value, _) in report.reported() {
         assert!(value.is_finite(), "{what}: {name} = {value}");
@@ -124,23 +124,42 @@ fn every_workload_reports_every_metric_at_tiny_scale() {
     }
 }
 
-/// Delegates to `inner`, except that it adds a second to the answers for
-/// one pair: in every query (`served_only: false`) or only in the bounded
-/// queries the server runs (`served_only: true`).
-#[derive(Clone)]
-struct Perturbed<I> {
-    inner: I,
-    victim: (VertexId, VertexId),
-    served_only: bool,
+/// What a [`Faulty`] index gets wrong.
+#[derive(Clone, Copy, PartialEq)]
+enum Fault {
+    /// Adds a second to every cost answer for one pair.
+    Skew,
+    /// Adds a second to the bounded cost answers (those the server runs)
+    /// for one pair.
+    SkewServed,
+    /// Answers bounded queries from a copy taken before its last update,
+    /// so a server on it always lags one epoch behind.
+    LagServed,
+    /// Ignores every update: neither the stored graph nor the index changes.
+    DropUpdates,
 }
 
-impl<I: RoutingIndex> Perturbed<I> {
-    fn hits(&self, s: VertexId, d: VertexId) -> bool {
-        (s, d) == self.victim
+/// Delegates to `inner`, except for its `fault`.
+#[derive(Clone)]
+struct Faulty<I> {
+    inner: I,
+    victim: (VertexId, VertexId),
+    fault: Fault,
+    before_update: Option<Box<I>>,
+}
+
+impl<I> Faulty<I> {
+    fn new(inner: I, victim: (VertexId, VertexId), fault: Fault) -> Faulty<I> {
+        Faulty {
+            inner,
+            victim,
+            fault,
+            before_update: None,
+        }
     }
 
-    fn skew(&self, s: VertexId, d: VertexId, c: Option<f64>) -> Option<f64> {
-        if self.hits(s, d) && !self.served_only {
+    fn skew(&self, fault: Fault, s: VertexId, d: VertexId, c: Option<f64>) -> Option<f64> {
+        if self.fault == fault && (s, d) == self.victim {
             c.map(|c| c + 1.0)
         } else {
             c
@@ -148,7 +167,7 @@ impl<I: RoutingIndex> Perturbed<I> {
     }
 }
 
-impl<I: RoutingIndex> RoutingIndex for Perturbed<I> {
+impl<I: RoutingIndex> RoutingIndex for Faulty<I> {
     fn backend_name(&self) -> &'static str {
         self.inner.backend_name()
     }
@@ -156,7 +175,7 @@ impl<I: RoutingIndex> RoutingIndex for Perturbed<I> {
         self.inner.graph()
     }
     fn query_cost(&self, s: VertexId, d: VertexId, t: f64) -> Option<f64> {
-        self.skew(s, d, self.inner.query_cost(s, d, t))
+        self.skew(Fault::Skew, s, d, self.inner.query_cost(s, d, t))
     }
     fn query_profile(&self, s: VertexId, d: VertexId) -> Option<Plf> {
         self.inner.query_profile(s, d)
@@ -180,7 +199,7 @@ impl<I: RoutingIndex> RoutingIndex for Perturbed<I> {
         d: VertexId,
         t: f64,
     ) -> Option<f64> {
-        self.skew(s, d, self.inner.query_cost_in(sc, s, d, t))
+        self.skew(Fault::Skew, s, d, self.inner.query_cost_in(sc, s, d, t))
     }
     fn query_profile_in(&self, sc: &mut SessionScratch, s: VertexId, d: VertexId) -> Option<Plf> {
         self.inner.query_profile_in(sc, s, d)
@@ -202,9 +221,12 @@ impl<I: RoutingIndex> RoutingIndex for Perturbed<I> {
         t: f64,
         budget: &QueryBudget,
     ) -> Result<BoundedAnswer, QueryError> {
-        let answer = self.inner.query_cost_bounded_in(sc, s, d, t, budget)?;
-        Ok(match answer {
-            BoundedAnswer::Exact(c) if self.hits(s, d) => BoundedAnswer::Exact(c.map(|c| c + 1.0)),
+        let index = match (self.fault, &self.before_update) {
+            (Fault::LagServed, Some(before)) => &**before,
+            _ => &self.inner,
+        };
+        Ok(match index.query_cost_bounded_in(sc, s, d, t, budget)? {
+            BoundedAnswer::Exact(c) => BoundedAnswer::Exact(self.skew(Fault::SkewServed, s, d, c)),
             other => other,
         })
     }
@@ -216,41 +238,59 @@ impl<I: RoutingIndex> RoutingIndex for Perturbed<I> {
     }
 }
 
-impl<I: IncrementalIndex> IncrementalIndex for Perturbed<I> {
+impl<I: IncrementalIndex + Clone> IncrementalIndex for Faulty<I> {
     fn update_edges(&mut self, changes: &[(VertexId, VertexId, Plf)]) -> UpdateStats {
-        self.inner.update_edges(changes)
+        match self.fault {
+            Fault::DropUpdates => UpdateStats::default(),
+            Fault::LagServed => {
+                self.before_update = Some(Box::new(self.inner.clone()));
+                self.inner.update_edges(changes)
+            }
+            Fault::Skew | Fault::SkewServed => self.inner.update_edges(changes),
+        }
     }
+}
+
+/// Runs `workload` at tiny scale on TD-appro with `fault`, on the pair of
+/// the first query.
+fn run_faulty(workload: WorkloadKind, fault: Fault) -> Report {
+    let cfg = tiny(workload, false);
+    let q = Inputs::generate(&cfg).queries[0];
+    run_with(&cfg, |g, budget, tr, _| {
+        Faulty::new(build_appro(g, budget, tr), (q.source, q.destination), fault)
+    })
+}
+
+fn assert_caught(report: &Report, what: &str) {
+    assert!(report.checks.failed > 0, "{what} went unnoticed");
+    let json = report.to_json().expect("every metric finite");
+    assert!(json.starts_with("{\"correct\": false, "), "{json}");
 }
 
 #[test]
 fn one_wrong_answer_is_a_failure() {
-    let cfg = tiny(WorkloadKind::PaperIndex, false);
-    let q = Inputs::generate(&cfg).queries[0];
-    let report = run_with(&cfg, |g, budget, tr, _| Perturbed {
-        inner: build_appro(g, budget, tr),
-        victim: (q.source, q.destination),
-        served_only: false,
-    });
-    assert!(
-        report.checks.failed > 0,
-        "a skewed cost answer went unnoticed"
-    );
-    assert!(report.to_json().starts_with("{\"correct\": false, "));
+    let report = run_faulty(WorkloadKind::PaperIndex, Fault::Skew);
+    assert_caught(&report, "a skewed cost answer");
 }
 
 #[test]
 fn a_served_reply_that_differs_from_the_session_is_a_failure() {
     // The high-rate phase alone sends more requests than the tiny query set
     // holds, so every pair is served at least once.
-    let cfg = tiny(WorkloadKind::ServeOpen, false);
-    let q = Inputs::generate(&cfg).queries[0];
-    let report = run_with(&cfg, |g, budget, tr, _| Perturbed {
-        inner: build_appro(g, budget, tr),
-        victim: (q.source, q.destination),
-        served_only: true,
-    });
-    assert!(
-        report.checks.failed > 0,
-        "a skewed served reply went unnoticed"
-    );
+    let report = run_faulty(WorkloadKind::ServeOpen, Fault::SkewServed);
+    assert_caught(&report, "a skewed served reply");
+}
+
+#[test]
+fn a_server_that_lags_one_epoch_is_a_failure() {
+    let report = run_faulty(WorkloadKind::ServeOpen, Fault::LagServed);
+    assert_caught(&report, "a server one epoch behind");
+}
+
+#[test]
+fn an_index_that_drops_updates_is_a_failure() {
+    for workload in [WorkloadKind::PaperIndex, WorkloadKind::ServeOpen] {
+        let report = run_faulty(workload, Fault::DropUpdates);
+        assert_caught(&report, &format!("{workload}: a dropped update"));
+    }
 }
